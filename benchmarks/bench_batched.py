@@ -1,12 +1,17 @@
-"""Serial-vs-batched (vectorized) sweep benchmark → ``BENCH_batched.json``.
+"""Serial-vs-stacked sweep benchmark → ``BENCH_batched.json``.
 
-Times the same eps1 × eps2 threshold sweep under the serial point loop
-and under the :class:`~repro.parallel.VectorizedExecutor`, which stacks
-each chunk of parameter points into one ``(B, 3n)`` ODE system and
-integrates the whole batch with matrix operations
-(:mod:`repro.numerics.ode_batched`).  Verifies the batched metrics
-agree with the serial reference within ``rtol = 1e-8`` and writes the
-measurements to ``BENCH_batched.json`` at the repository root.
+Times the same eps1 × eps2 threshold sweep two ways: the serial point
+loop (``sweep_grid`` over the per-point workload), and the scenario
+service path (:func:`~repro.analysis.sweep.scenario_sweep` on a fresh
+:class:`~repro.serve.service.ScenarioService` per repeat), whose
+micro-batcher stacks each window of up to ``--chunk`` parameter points
+into one ``(B, 3n)`` ODE system and integrates the whole batch with
+matrix operations (:mod:`repro.numerics.ode_batched`).  Verifies the
+stacked metrics agree with the serial reference within ``rtol = 1e-8``,
+checks every row was answered by a stacked integration, and writes the
+measurements to ``BENCH_batched.json`` at the repository root.  The
+``*/vectorized`` record names predate the service path and are kept so
+the perf gate compares like with like; they time the service path.
 
 Two workloads are recorded:
 
@@ -17,7 +22,7 @@ Two workloads are recorded:
   DRAM-streaming limit rather than the batch width.
 * ``cache_resident_sweep`` — a 30-group network whose whole batch fits
   in cache; here Python/solver overhead dominates the serial loop and
-  batching shows the engine's full headroom (order-of-magnitude).
+  batching shows the engine's full headroom (several-fold).
 
 Usage::
 
@@ -42,7 +47,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if "repro" not in sys.modules:  # allow `python benchmarks/bench_batched.py`
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis.sweep import SweepResult, sweep_grid  # noqa: E402
+from repro.analysis.sweep import (  # noqa: E402
+    SweepResult,
+    scenario_sweep,
+    sweep_grid,
+)
 from repro.bench.timing import (  # noqa: E402
     BenchRecord,
     time_call_samples,
@@ -53,17 +62,41 @@ from repro.bench.workloads import (  # noqa: E402
     severity_axes,
     smoke_threshold_point,
 )
-from repro.obs.trace import observing  # noqa: E402
-from repro.parallel.executor import VectorizedExecutor  # noqa: E402
+from repro.obs.trace import get_observer, observing  # noqa: E402
+from repro.serve.service import ScenarioService  # noqa: E402
+from repro.serve.spec import CalibrationSpec, ScenarioSpec  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_batched.json"
 
 #: Batched results must match the serial reference this tightly.
 ACCURACY_RTOL = 1e-8
 
-WORKLOADS: dict[str, Callable[..., dict[str, float]]] = {
-    "digg_threshold_sweep": digg_threshold_point,
-    "cache_resident_sweep": smoke_threshold_point,
+#: Metric families the payload's metrics block records: solver work,
+#: the serial loop's task telemetry and the stacked sweep's counts.
+#: Serve-layer telemetry (cache, SLO, request latency) is the subject of
+#: ``BENCH_serve.json``; leaving it out keeps this block's key set
+#: comparable with the committed baseline under ``repro obs compare``.
+RECORDED_METRICS = ("solver.", "parallel.", "sweep.")
+
+#: Rows per stacked integration (the service's ``max_batch``) unless
+#: ``--chunk`` overrides it.  Throughput is flat for 8–64 rows on the
+#: digg workload (the batch is memory-bandwidth-bound), so the default
+#: just keeps the working set modest.
+DEFAULT_CHUNK = 16
+
+#: Per workload: the serial point callable and the scenario spec the
+#: stacked side sweeps (same network, calibration and horizon).
+WORKLOADS: dict[str, tuple[Callable[..., dict[str, float]], ScenarioSpec]] = {
+    "digg_threshold_sweep": (
+        digg_threshold_point,
+        ScenarioSpec(network="digg2009",
+                     calibration=CalibrationSpec(0.2, 0.05, 0.7220))),
+    "cache_resident_sweep": (
+        smoke_threshold_point,
+        ScenarioSpec(network={"kind": "power_law", "k_min": 1,
+                              "k_max": 30, "exponent": 2.0},
+                     t_final=20.0, n_samples=21,
+                     calibration=CalibrationSpec(0.2, 0.05, 0.9))),
 }
 
 
@@ -89,23 +122,43 @@ def _bench_workload(name: str, axes: dict, chunk_size: int | None,
                     records: list[BenchRecord],
                     derived: dict[str, object], *,
                     repeat: int = 1) -> None:
-    """Time one workload serially and batched; append records in place."""
-    point_fn = WORKLOADS[name]
-    executor = VectorizedExecutor(chunk_size=chunk_size)
+    """Time one workload serially and stacked; append records in place."""
+    point_fn, base = WORKLOADS[name]
     n_points = len(axes["eps1"]) * len(axes["eps2"])
-    chunk = executor.batch_chunk_size(n_points)
+    chunk = min(DEFAULT_CHUNK if chunk_size is None else chunk_size,
+                n_points)
 
     serial, serial_raw = time_call_samples(
         lambda: sweep_grid(axes, point_fn, executor="serial"),
         repeat=repeat)
-    batched, batched_raw = time_call_samples(
-        lambda: sweep_grid(axes, point_fn, executor=executor),
-        repeat=repeat)
+    # A fresh service per repeat: an empty cache, so every repeat
+    # integrates every point.  Services are closed outside the timing
+    # (closing joins the dispatcher thread).
+    services = [ScenarioService(max_batch=chunk) for _ in range(repeat)]
+    metrics = get_observer().metrics
+    dispatches = metrics.counter("serve.batch.dispatches")
+    rows = metrics.histogram("serve.batch.size")
+    dispatches_before, rows_before = dispatches.value, rows.total
+    try:
+        fresh = iter(services)
+        batched, batched_raw = time_call_samples(
+            lambda: scenario_sweep(base, axes, service=next(fresh)),
+            repeat=repeat)
+    finally:
+        for service in services:
+            service.close()
+    # Micro-batcher dispatches of this sweep are its stacked chunks.
+    metrics.inc("sweep.batched_chunks", dispatches.value - dispatches_before)
+    metrics.inc("sweep.batched_points", rows.total - rows_before)
     serial_seconds, batched_seconds = min(serial_raw), min(batched_raw)
     assert isinstance(serial, SweepResult)
     assert isinstance(batched, SweepResult)
 
     rel = _max_rel_diff(serial, batched)
+    unstacked = sum(not row["stacked"] for row in batched.rows)
+    if unstacked:
+        raise SystemExit(f"{name}: {unstacked} of {len(batched)} rows "
+                         f"were not answered by a stacked integration")
     speedup = serial_seconds / batched_seconds
     records.append(BenchRecord(f"{name}/serial", serial_seconds, {
         "backend": "serial", "workers": 1, "points": len(serial),
@@ -114,7 +167,8 @@ def _bench_workload(name: str, axes: dict, chunk_size: int | None,
         "raw_seconds": [round(s, 6) for s in serial_raw],
     }))
     records.append(BenchRecord(f"{name}/vectorized", batched_seconds, {
-        "backend": "vectorized", "workers": 1, "points": len(batched),
+        "backend": "scenario_service", "workers": 1,
+        "points": len(batched),
         "chunk_size": chunk,
         "points_per_second": len(batched) / batched_seconds,
         "speedup_vs_serial": speedup,
@@ -130,7 +184,7 @@ def run_benchmark(*, points: int = 64, chunk_size: int | None = None,
                   workloads: Sequence[str] = tuple(WORKLOADS),
                   smoke: bool = False, repeat: int = 3,
                   out: str | Path | None = DEFAULT_OUT) -> dict[str, object]:
-    """Time each workload serial vs batched; return the written payload."""
+    """Time each workload serial vs stacked; return the written payload."""
     if smoke:
         points = min(points, 4)
         workloads = ["cache_resident_sweep"]
@@ -154,7 +208,10 @@ def run_benchmark(*, points: int = 64, chunk_size: int | None = None,
         for name in workloads:
             _bench_workload(name, axes, chunk_size, records, derived,
                             repeat=repeat)
-        metrics_snapshot = observer.metrics.snapshot()
+        metrics_snapshot = {
+            table: {key: value for key, value in entries.items()
+                    if key.startswith(RECORDED_METRICS)}
+            for table, entries in observer.metrics.snapshot().items()}
     derived["note"] = (
         "batched dopri45 step-locks to the serial solver, so metrics "
         "agree to ~1e-13; the digg workload streams the full 2544-wide "
@@ -212,13 +269,13 @@ def test_bench_batched_smoke(tmp_path) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Serial vs batched-vectorized sweep benchmark "
+        description="Serial vs stacked (scenario service) sweep benchmark "
                     "(writes BENCH_batched.json)")
     parser.add_argument("--points", type=int, default=64,
                         help="sweep grid size (default 64 = 8x8)")
     parser.add_argument("--chunk", type=int, default=None,
-                        help="batch chunk size (default "
-                             f"{VectorizedExecutor.DEFAULT_CHUNK})")
+                        help="rows per stacked integration (default "
+                             f"{DEFAULT_CHUNK})")
     parser.add_argument("--workloads", nargs="+",
                         default=list(WORKLOADS), choices=list(WORKLOADS),
                         help="workloads to time (default: both)")

@@ -2,8 +2,9 @@
 
 See ``benchmarks/bench_parallel.py`` for the serial-vs-parallel sweep
 benchmark that feeds ``BENCH_parallel.json`` at the repository root, and
-``benchmarks/bench_batched.py`` for the serial-vs-vectorized comparison
-behind ``BENCH_batched.json``.
+``benchmarks/bench_batched.py`` for the serial-vs-stacked comparison
+behind ``BENCH_batched.json`` (the stacked side runs through
+:func:`repro.analysis.sweep.scenario_sweep`).
 """
 
 from repro.bench.timing import (
@@ -16,10 +17,8 @@ from repro.bench.timing import (
     write_bench_json,
 )
 from repro.bench.workloads import (
-    digg_threshold_batch,
     digg_threshold_point,
     severity_axes,
-    smoke_threshold_batch,
     smoke_threshold_point,
 )
 
@@ -32,8 +31,6 @@ __all__ = [
     "read_bench_json",
     "single_core_warnings",
     "digg_threshold_point",
-    "digg_threshold_batch",
     "smoke_threshold_point",
-    "smoke_threshold_batch",
     "severity_axes",
 ]

@@ -12,14 +12,9 @@ Both workloads build their calibrated model through the
 distribution, calibration, and φ(k) tables once and reuses them for all
 its points — the pattern sweep authors should copy.
 
-Each point function also advertises a **batched** implementation via its
-``batch`` attribute (``digg_threshold_point.batch`` is
-:func:`digg_threshold_batch`): the sweep driver's ``vectorized`` backend
-calls it on contiguous chunks of (ε1, ε2) points, which are integrated
-as one stacked ODE system through
-:class:`~repro.core.batched.BatchedHeterogeneousSIR`.  The batched
-functions compute exactly the per-point metrics of their scalar
-counterparts.
+These are the serial references: the stacked counterpart of the same
+sweep runs through :func:`repro.analysis.sweep.scenario_sweep`, which
+integrates compatible (ε1, ε2) points as one stacked ODE system.
 
 Module-level functions only: the process backend pickles them by
 reference.
@@ -27,11 +22,8 @@ reference.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
 import numpy as np
 
-from repro.core.batched import BatchedHeterogeneousSIR
 from repro.core.model import HeterogeneousSIRModel
 from repro.core.parameters import RumorModelParameters
 from repro.core.state import SIRState
@@ -45,9 +37,7 @@ from repro.parallel.cache import model_invariants, worker_cached
 
 __all__ = [
     "digg_threshold_point",
-    "digg_threshold_batch",
     "smoke_threshold_point",
-    "smoke_threshold_batch",
     "severity_axes",
 ]
 
@@ -102,33 +92,6 @@ def _threshold_point(params: RumorModelParameters,
     }
 
 
-def _threshold_batch(params: RumorModelParameters,
-                     points: Sequence[Mapping[str, float]], *,
-                     t_final: float, n_samples: int,
-                     method: str = "dopri45") -> list[dict[str, float]]:
-    """Stacked evaluation of a chunk of (eps1, eps2) threshold points.
-
-    One :class:`BatchedHeterogeneousSIR` integration for the whole
-    chunk, then the same per-point metrics as :func:`_threshold_point`:
-    r0, peak population-infected density, and its final value.
-    """
-    eps1 = [float(point["eps1"]) for point in points]
-    eps2 = [float(point["eps2"]) for point in points]
-    batch = BatchedHeterogeneousSIR(params, eps1=eps1, eps2=eps2)
-    initial = SIRState.initial(params.n_groups, 0.05)
-    solution = batch.simulate(initial, t_final=t_final,
-                              n_samples=n_samples, method=method)
-    infected = batch.population_infected(solution)  # (m, chunk)
-    return [
-        {
-            "r0": float(basic_reproduction_number(params, e1, e2)),
-            "peak_infected": float(infected[:, j].max()),
-            "final_infected": float(infected[-1, j]),
-        }
-        for j, (e1, e2) in enumerate(zip(eps1, eps2))
-    ]
-
-
 def digg_threshold_point(eps1: float, eps2: float) -> dict[str, float]:
     """Full-scale point: r0 + a horizon-60 integration on the 848-group
     Digg-compatible network (~50 ms — enough for IPC to amortize)."""
@@ -137,34 +100,8 @@ def digg_threshold_point(eps1: float, eps2: float) -> dict[str, float]:
                             t_final=60.0, n_samples=61)
 
 
-def digg_threshold_batch(
-        points: Sequence[Mapping[str, float]]) -> list[dict[str, float]]:
-    """Batched counterpart of :func:`digg_threshold_point`.
-
-    ``points`` is a chunk of ``{"eps1": ..., "eps2": ...}`` mappings;
-    the chunk integrates as one stacked system and every row gets the
-    scalar workload's metrics.  Registered as
-    ``digg_threshold_point.batch`` for the vectorized sweep backend.
-    """
-    params, _model = _digg_model()
-    return _threshold_batch(params, points, t_final=60.0, n_samples=61)
-
-
-digg_threshold_point.batch = digg_threshold_batch
-
-
 def smoke_threshold_point(eps1: float, eps2: float) -> dict[str, float]:
     """Reduced point (30 groups, horizon 20) for ``--smoke`` and tests."""
     params, model = _smoke_model()
     return _threshold_point(params, model, eps1, eps2,
                             t_final=20.0, n_samples=21)
-
-
-def smoke_threshold_batch(
-        points: Sequence[Mapping[str, float]]) -> list[dict[str, float]]:
-    """Batched counterpart of :func:`smoke_threshold_point`."""
-    params, _model = _smoke_model()
-    return _threshold_batch(params, points, t_final=20.0, n_samples=21)
-
-
-smoke_threshold_point.batch = smoke_threshold_batch

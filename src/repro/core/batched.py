@@ -210,62 +210,12 @@ class BatchedHeterogeneousSIR:
         o_i -= e2i                            # infection − ε2·I
         return out
 
-    def rhs_reduced(self, t: np.ndarray, y: np.ndarray,
-                    rows: np.ndarray | None = None,
-                    out: np.ndarray | None = None, *,
-                    exact_theta: bool = True) -> np.ndarray:
-        """Batched right-hand side on the reduced ``(L, 2n)`` (S, I) state.
-
-        System (1) conserves ``S_i + I_i + R_i − α·t`` group by group
-        (the three derivatives sum to α), and R feeds back into neither
-        dS nor dI.  A solver can therefore carry only (S, I) and
-        reconstruct R from the conservation law afterwards
-        (:meth:`simulate` with ``reduce_state=True``).
-
-        Caveat — and the reason this is *not* the default: dropping R
-        from the state also drops it from the adaptive error norm, so
-        the dopri45 step sequence decorrelates from the scalar path's.
-        Two tolerance-``rtol`` runs with different step sequences agree
-        only to the method's true local error (measured ~1e-6 relative
-        on the digg2009 sweep), not to ``rtol``-level.  Use this path
-        when raw throughput matters more than reproducing the scalar
-        sweep digit-for-digit.
-        """
-        p = self.params
-        n = p.n_groups
-        idx = slice(None) if rows is None else rows
-        s = y[:, :n]
-        i = y[:, n:]
-        lam = self.lambda_k if self.lambda_k.ndim == 1 else self.lambda_k[idx]
-        e1 = self.eps1[idx][:, None]
-        e2 = self.eps2[idx][:, None]
-        alpha = (self.alpha if isinstance(self.alpha, float)
-                 else self.alpha[idx][:, None])
-        if out is None:
-            out = np.empty_like(y)
-        o_s = out[:, :n]
-        o_i = out[:, n:]
-        if exact_theta:
-            np.multiply(i, p.phi_k, out=o_s)  # o_s doubles as scratch
-            theta = o_s.sum(axis=1)
-        else:
-            theta = i @ p.phi_k
-        theta /= p.mean_degree
-        np.multiply(lam, s, out=o_i)
-        o_i *= theta[:, None]                 # infection = (λ·S)·Θ
-        np.subtract(alpha, o_i, out=o_s)      # α − infection
-        e1s = e1 * s
-        o_s -= e1s                            # (α − infection) − ε1·S
-        o_i -= e2 * i                         # infection − ε2·I
-        return out
-
     # -- simulation ------------------------------------------------------------
     def simulate(self, initial: SIRState | np.ndarray, *,
                  t_final: float | None = None,
                  n_samples: int = 201,
                  t_eval: Sequence[float] | np.ndarray | None = None,
                  method: str = "dopri45",
-                 reduce_state: bool | None = None,
                  **solver_options: object) -> BatchedOdeSolution:
         """Integrate every stacked point over ``(0, t_final]`` at once.
 
@@ -273,16 +223,6 @@ class BatchedHeterogeneousSIR:
         a flat ``(3n,)`` vector, or a per-row ``(B, 3n)`` matrix.
         ``method`` is ``"dopri45"`` (default) or ``"rk4"``; the grid
         arguments mirror :meth:`HeterogeneousSIRModel.simulate`.
-
-        ``reduce_state=True`` makes the solver carry only the (S, I)
-        block and reconstruct R from the conservation law
-        ``S + I + R = S0 + I0 + R0 + α·t`` (see :meth:`rhs_reduced`).
-        It is opt-in extra throughput: the changed error norm shifts
-        the adaptive step sequence, so results match scalar runs only
-        to the method's true error (~1e-6) instead of the default
-        path's ~1e-11.  The default (False) keeps the error norm — and
-        therefore the step sequence and results — locked to the scalar
-        path.
         """
         n = self.n_groups
         if isinstance(initial, SIRState):
@@ -314,46 +254,13 @@ class BatchedHeterogeneousSIR:
             grid = np.linspace(0.0, float(t_final), int(n_samples))
         else:
             grid = np.asarray(t_eval, dtype=float)
-        if reduce_state is None:
-            reduce_state = False
         # The adaptive path tolerates ulp-level Θ differences, so it
         # takes the BLAS matvec; rk4's bitwise contract needs the exact
         # pairwise reduction.
         exact = method == "rk4"
-        if not reduce_state:
-            f = functools.partial(self.rhs, exact_theta=exact)
-            return integrate_batched(f, y0, grid, method=method,
-                                     **solver_options)
-        f = functools.partial(self.rhs_reduced, exact_theta=exact)
-        reduced = integrate_batched(f, y0[:, :2 * n], grid,
-                                    method=method, **solver_options)
-        return self._reconstruct_full(reduced, y0)
-
-    def _reconstruct_full(self, reduced: BatchedOdeSolution,
-                          y0: np.ndarray) -> BatchedOdeSolution:
-        """Rebuild the full (S, I, R) solution from a reduced (S, I) run.
-
-        Uses the per-group conservation law of System (1): the three
-        derivatives sum to α, so ``R(t) = (S0 + I0 + R0) + α·t − S − I``
-        exactly (up to round-off) for every row and group.
-        """
-        n = self.n_groups
-        m = reduced.t.size
-        batch = reduced.batch_size
-        full = np.empty((m, batch, 3 * n))
-        full[:, :, :2 * n] = reduced.y
-        # total0[b, i] = S0 + I0 + R0 for row b, group i.
-        total0 = y0[:, :n] + y0[:, n:2 * n] + y0[:, 2 * n:]
-        r = full[:, :, 2 * n:]
-        r[:] = total0
-        if isinstance(self.alpha, float):
-            r += (self.alpha * reduced.t)[:, None, None]
-        else:
-            r += (reduced.t[:, None] * self.alpha)[:, :, None]
-        r -= reduced.y[:, :, :n]
-        r -= reduced.y[:, :, n:]
-        return BatchedOdeSolution(reduced.t, full, reduced.nfev_rows,
-                                  reduced.solver, stats=reduced.stats)
+        f = functools.partial(self.rhs, exact_theta=exact)
+        return integrate_batched(f, y0, grid, method=method,
+                                 **solver_options)
 
     # -- analysis accessors ----------------------------------------------------
     def trajectory(self, solution: BatchedOdeSolution,

@@ -32,19 +32,16 @@ batched trajectories agree with scalar ones to round-off.
 
 Calling convention
 ------------------
-A batched right-hand side is ``f(t, y, rows) -> dy/dt`` where ``t`` has
-shape ``(L,)`` (one time per live row), ``y`` has shape ``(L, d)``, and
-``rows`` is an ``(L,)`` integer array mapping the live rows back to the
-original batch indices 0..B-1.  Solvers compact finished rows out of the
-batch, so a right-hand side holding per-row parameter arrays must index
-them with ``rows`` (see :class:`repro.core.batched.BatchedHeterogeneousSIR`).
-Right-hand sides with no per-row parameters may ignore ``rows``.
-
-A right-hand side may additionally accept ``out=`` — a preallocated
-``(L, d)`` array to write the derivative into.  The solvers detect
-support on the first evaluation and fall back to copying the returned
-array when ``out=`` is not accepted, so plain ``f(t, y, rows)``
-callables keep working unchanged.
+A batched right-hand side is called as ``f(t, y, rows, out=dydt)``
+where ``t`` has shape ``(L,)`` (one time per live row), ``y`` has shape
+``(L, d)``, ``rows`` is an ``(L,)`` integer array mapping the live rows
+back to the original batch indices 0..B-1, and ``out`` is a preallocated
+``(L, d)`` array.  The right-hand side must write the derivative into
+``out``; its return value is ignored.  Solvers compact finished rows out
+of the batch, so a right-hand side holding per-row parameter arrays must
+index them with ``rows`` (see
+:class:`repro.core.batched.BatchedHeterogeneousSIR`).  Right-hand sides
+with no per-row parameters may ignore ``rows``.
 """
 
 from __future__ import annotations
@@ -77,7 +74,8 @@ __all__ = [
     "BATCHED_SOLVERS",
 ]
 
-BatchedRhsFunction = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+#: ``f(t, y, rows, out=dydt)``; writes the derivative into ``out``.
+BatchedRhsFunction = Callable[..., object]
 
 
 @dataclass(frozen=True)
@@ -228,34 +226,6 @@ def _check_finite_batch(y: np.ndarray, solver: str) -> None:
         raise IntegrationError(f"{solver} produced non-finite state values")
 
 
-class _RhsAdapter:
-    """Call a batched RHS, writing into ``out`` with or without support.
-
-    The first call probes whether ``f`` accepts an ``out=`` keyword; if
-    not, every evaluation falls back to copying the returned array.
-    """
-
-    def __init__(self, f: BatchedRhsFunction) -> None:
-        self._f = f
-        self._supports_out: bool | None = None
-
-    def __call__(self, t: np.ndarray, y: np.ndarray, rows: np.ndarray,
-                 out: np.ndarray) -> None:
-        if self._supports_out is None:
-            try:
-                res = self._f(t, y, rows, out=out)
-                self._supports_out = True
-            except TypeError:
-                self._supports_out = False
-                res = self._f(t, y, rows)
-        elif self._supports_out:
-            res = self._f(t, y, rows, out=out)
-        else:
-            res = self._f(t, y, rows)
-        if res is not out:
-            out[...] = res
-
-
 def rk4_batched(f: BatchedRhsFunction, y0: np.ndarray,
                 t_eval: Sequence[float] | np.ndarray, *,
                 substeps: int = 1) -> BatchedOdeSolution:
@@ -274,7 +244,6 @@ def rk4_batched(f: BatchedRhsFunction, y0: np.ndarray,
     start = time.perf_counter()
     batch, dim = y.shape
     rows = np.arange(batch)
-    rhs = _RhsAdapter(f)
     out = np.empty((grid.size, batch, dim))
     out[0] = y
     nfev_rows = np.zeros(batch, dtype=np.int64)
@@ -289,16 +258,16 @@ def rk4_batched(f: BatchedRhsFunction, y0: np.ndarray,
         for s in range(substeps):
             ts = t + s * h
             # Mirrors the scalar update exactly: y_stage = y + (c·h)·k.
-            rhs(np.full(batch, ts), y, rows, k1)
+            f(np.full(batch, ts), y, rows, out=k1)
             np.multiply(k1, 0.5 * h, out=stage)
             stage += y
-            rhs(np.full(batch, ts + 0.5 * h), stage, rows, k2)
+            f(np.full(batch, ts + 0.5 * h), stage, rows, out=k2)
             np.multiply(k2, 0.5 * h, out=stage)
             stage += y
-            rhs(np.full(batch, ts + 0.5 * h), stage, rows, k3)
+            f(np.full(batch, ts + 0.5 * h), stage, rows, out=k3)
             np.multiply(k3, h, out=stage)
             stage += y
-            rhs(np.full(batch, ts + h), stage, rows, k4)
+            f(np.full(batch, ts + h), stage, rows, out=k4)
             # y ← y + (h/6)·(((k1 + 2·k2) + 2·k3) + k4), scalar order.
             k2 *= 2.0
             k2 += k1
@@ -324,7 +293,7 @@ def rk4_batched(f: BatchedRhsFunction, y0: np.ndarray,
                               stats=stats)
 
 
-def _initial_step_batched(rhs: _RhsAdapter, t0: float, y0: np.ndarray,
+def _initial_step_batched(f: BatchedRhsFunction, t0: float, y0: np.ndarray,
                           rows: np.ndarray, rtol: float, atol: float,
                           h_max: float,
                           f0_out: np.ndarray) -> np.ndarray:
@@ -335,7 +304,7 @@ def _initial_step_batched(rhs: _RhsAdapter, t0: float, y0: np.ndarray,
     """
     batch = y0.shape[0]
     scale = atol + rtol * np.abs(y0)
-    rhs(np.full(batch, t0), y0, rows, f0_out)
+    f(np.full(batch, t0), y0, rows, out=f0_out)
     f0 = f0_out
     d0 = np.sqrt(np.mean((y0 / scale) ** 2, axis=1))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2, axis=1))
@@ -343,7 +312,7 @@ def _initial_step_batched(rhs: _RhsAdapter, t0: float, y0: np.ndarray,
     h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(d1 > 0, d1, 1.0))
     y1 = y0 + h0[:, None] * f0
     f1 = np.empty_like(y0)
-    rhs(t0 + h0, y1, rows, f1)
+    f(t0 + h0, y1, rows, out=f1)
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2, axis=1)) / h0
     dm = np.maximum(d1, d2)
     h1 = np.where(dm <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
@@ -395,7 +364,6 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
     if h_max is None:
         h_max = span
     n_grid = grid.size
-    rhs = _RhsAdapter(f)
 
     out = np.empty((n_grid, batch, dim))
     out[0] = y
@@ -424,7 +392,7 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
     if h_init is None:
         # The heuristic leaves f(t0, y0) in the FSAL slot, so the first
         # step needs no extra evaluation.
-        h[:] = _initial_step_batched(rhs, t0, y, live, rtol, atol, h_max,
+        h[:] = _initial_step_batched(f, t0, y, live, rtol, atol, h_max,
                                      k0_seed)
         nfev_rows += 2
         warmup_nfev = 2
@@ -432,7 +400,7 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
         if h_init <= 0:
             raise ParameterError("h_init must be positive")
         h[:] = min(h_init, h_max)
-        rhs(t[:m], y, live, k0_seed)
+        f(t[:m], y, live, out=k0_seed)
         nfev_rows += 1
         warmup_nfev = 1
 
@@ -471,8 +439,8 @@ def dopri45_batched(f: BatchedRhsFunction, y0: np.ndarray,
                 ysm = ystage[:m]
                 np.multiply(ysm, hm[:, None], out=ysm)
                 ysm += ym
-                rhs(tm + _DP_C[s] * hm, ysm, live[:m],
-                    kf[s].reshape(m, dim))
+                f(tm + _DP_C[s] * hm, ysm, live[:m],
+                  out=kf[s].reshape(m, dim))
             nfev_rows[live[:m]] += 6
             # 5th- and 4th-order solutions, in exactly the scalar
             # solver's arithmetic: the same full-tableau dgemv products

@@ -1,7 +1,7 @@
 """Structured logging: leveled stderr lines plus manifest ``log`` events.
 
 The library's one logging convention: a *log record* is an event name
-(dotted, stable, grep-able — ``"sweep.vectorized_fallback"``) plus
+(dotted, stable, grep-able — ``"health.solver_rejections"``) plus
 structured fields, never a pre-formatted sentence.  Each record goes two
 places:
 
@@ -14,7 +14,7 @@ places:
 
 Repeated warnings can be collapsed with ``once=<key>``: the first
 record with a given key is emitted, later ones are dropped (per
-process) — how the vectorized-fallback warnings stay single.  For
+process) — for conditions worth saying exactly once.  For
 recurring conditions that should stay *visible* without flooding (the
 health watchdog alarms), ``every_n=``/``min_interval=`` rate-limit by
 event name instead of dropping forever: a record is re-emitted after

@@ -1,9 +1,11 @@
 """Parallel execution engine for sweeps, experiments, and ensembles.
 
-Backends (serial / thread / process / vectorized) behind one
+Backends (serial / thread / process) behind one
 :class:`~repro.parallel.executor.ParallelExecutor` interface, with
 deterministic result ordering, chunked dispatch, per-task seeding, and
-worker-side invariant caching.  See ``docs/PARALLEL.md``.
+worker-side invariant caching.  See ``docs/PARALLEL.md``.  Stacked
+(ε1, ε2) sweeps are not an executor backend: they go through the
+scenario service via :func:`repro.analysis.sweep.scenario_sweep`.
 """
 
 from repro.parallel.cache import (
@@ -20,7 +22,6 @@ from repro.parallel.executor import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    VectorizedExecutor,
     available_cpus,
     resolve_executor,
 )
@@ -31,7 +32,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "VectorizedExecutor",
     "resolve_executor",
     "available_cpus",
     "BACKENDS",

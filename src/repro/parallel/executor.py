@@ -11,15 +11,11 @@ state.  This module provides one abstraction — :class:`ParallelExecutor`
   workload releases the GIL (numpy-heavy right-hand sides) or blocks on
   I/O;
 * :class:`ProcessExecutor` — ``ProcessPoolExecutor``; true multi-core
-  scaling for the CPU-bound sweeps (callables and tasks must pickle);
-* :class:`VectorizedExecutor` — single-process SIMD-style batching: a
-  sweep whose point callable advertises a batched implementation (a
-  ``batch`` attribute, see :mod:`repro.analysis.sweep`) is evaluated in
-  stacked chunks through the batched ODE engine
-  (:mod:`repro.numerics.ode_batched`) instead of one point at a time.
-  For generic task mapping it degrades to the serial loop, so ensembles
-  and non-batchable sweeps still run correctly under ``--backend
-  vectorized``.
+  scaling for the CPU-bound sweeps (callables and tasks must pickle).
+
+Stacking many (ε1, ε2) points into one batched ODE system is not an
+executor concern: it goes through the scenario service
+(:func:`repro.analysis.sweep.scenario_sweep`).
 
 All backends share the exact same semantics:
 
@@ -58,7 +54,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "VectorizedExecutor",
     "resolve_executor",
     "available_cpus",
     "BACKENDS",
@@ -316,52 +311,10 @@ class ProcessExecutor(ParallelExecutor):
             return chunk_results
 
 
-class VectorizedExecutor(ParallelExecutor):
-    """Single-process batched execution for vectorizable sweeps.
-
-    The vectorized backend does not parallelize the generic
-    ``map_tasks`` protocol — arbitrary per-point callables cannot be
-    stacked — so its task mapping is the serial loop.  Its value is the
-    contract it declares: sweep drivers (:func:`repro.analysis.sweep.sweep_1d`
-    / ``sweep_grid``) check ``executor.backend == "vectorized"`` and
-    route point callables that advertise a ``batch`` implementation
-    through the stacked ODE engine in chunks of ``chunk_size`` points.
-
-    ``chunk_size`` bounds the rows integrated per stacked system call
-    (working-set control); ``None`` leaves the choice to the sweep
-    driver.
-    """
-
-    backend = "vectorized"
-
-    #: Default rows per stacked integration when the sweep driver does
-    #: not override it.  Throughput is flat for 8–64 rows on the digg
-    #: workload (the batch is memory-bandwidth-bound), so the default
-    #: just keeps the working set modest.
-    DEFAULT_CHUNK = 16
-
-    def __init__(self, workers: int = 1, *,
-                 chunk_size: int | None = None) -> None:
-        super().__init__(1)
-        if chunk_size is not None and chunk_size < 1:
-            raise ParameterError(
-                f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
-
-    def batch_chunk_size(self, n_points: int) -> int:
-        """Rows per stacked integration for an ``n_points`` sweep."""
-        chunk = self.chunk_size or self.DEFAULT_CHUNK
-        return max(1, min(chunk, n_points))
-
-    def _execute(self, fn, chunks, on_chunk=None):
-        return SerialExecutor._execute(self, fn, chunks, on_chunk)
-
-
 BACKENDS: dict[str, type[ParallelExecutor]] = {
     "serial": SerialExecutor,
     "thread": ThreadExecutor,
     "process": ProcessExecutor,
-    "vectorized": VectorizedExecutor,
 }
 
 
@@ -402,6 +355,4 @@ def resolve_executor(backend: str | int | ParallelExecutor | None = None,
         ) from None
     if cls is SerialExecutor:
         return SerialExecutor()
-    if cls is VectorizedExecutor:
-        return VectorizedExecutor()
     return cls(workers if workers is not None else available_cpus())

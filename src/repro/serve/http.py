@@ -84,6 +84,9 @@ class _ScenarioRequestHandler(BaseHTTPRequestHandler):
 
     server: ScenarioHTTPServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms per keep-alive request).
+    disable_nagle_algorithm = True
 
     # -- routing -----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)

@@ -14,11 +14,6 @@ through the :mod:`repro.parallel` engine:
 
 Graphs, configs, and seed arrays all pickle, so the process backend
 works out of the box for CPU-bound ensembles.
-
-Stochastic realizations consume independent random streams, so they
-cannot be stacked into one vectorized system the way deterministic
-ODE sweeps can; requesting ``executor="vectorized"`` here is accepted
-but falls back to the serial loop (same results, no speedup).
 """
 
 from __future__ import annotations
@@ -27,12 +22,7 @@ import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.networks.graph import Graph
-from repro.obs.log import warning as obs_warning
-from repro.parallel.executor import (
-    ParallelExecutor,
-    VectorizedExecutor,
-    resolve_executor,
-)
+from repro.parallel.executor import ParallelExecutor, resolve_executor
 from repro.parallel.seeding import spawn_seeds, task_rng
 from repro.simulation.agent_based import (
     AgentBasedConfig,
@@ -81,16 +71,7 @@ def run_ensemble(graph: Graph, seeds: np.ndarray, config: EnsembleConfig, *,
     seeds = np.asarray(seeds, dtype=np.int64)
     run_seeds = spawn_seeds(base_seed, n_runs)
     tasks = [(graph, seeds, config, seed) for seed in run_seeds]
-    resolved = resolve_executor(executor)
-    if isinstance(resolved, VectorizedExecutor):
-        # Same results, no speedup — say so once, structurally, instead
-        # of silently degrading to the serial loop.
-        obs_warning("ensemble.vectorized_fallback",
-                    once="ensemble.vectorized_fallback",
-                    backend="vectorized", fallback="serial",
-                    reason="stochastic realizations draw independent rng "
-                           "streams and cannot be stacked")
-    return resolved.map_tasks(
+    return resolve_executor(executor).map_tasks(
         _run_realization, tasks, chunk_size=chunk_size,
         describe=lambda index, _task: {"run": index, "base_seed": base_seed},
         label="ensemble",

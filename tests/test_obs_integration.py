@@ -30,14 +30,11 @@ from repro.core.parameters import RumorModelParameters
 from repro.core.state import SIRState
 from repro.core.threshold import calibrate_acceptance_scale
 from repro.networks.degree import power_law_distribution
-from repro.networks.generators import erdos_renyi
 from repro.numerics.ode import dopri45
 from repro.numerics.ode_batched import dopri45_batched
 from repro.obs.log import reset_once, set_level
 from repro.obs.trace import get_observer, observing, uninstall
 from repro.obs.events import validate_manifest
-from repro.simulation.agent_based import AgentBasedConfig
-from repro.simulation.ensemble import run_ensemble
 
 
 @pytest.fixture(autouse=True)
@@ -121,10 +118,10 @@ class TestSolverStats:
         scales = np.array([1.0, 0.5, 0.25])
         batch = np.stack([y0 * s for s in scales])
 
-        def batched_rhs(t, y, rows):
+        def batched_rhs(t, y, rows, out):
             t = np.broadcast_to(np.asarray(t, dtype=float), (y.shape[0],))
-            return np.stack([rhs(float(t[i]), y[i])
-                             for i in range(y.shape[0])])
+            for i in range(y.shape[0]):
+                out[i] = rhs(float(t[i]), y[i])
 
         sol = dopri45_batched(batched_rhs, batch, grid)
         stats = sol.stats
@@ -262,16 +259,6 @@ class TestManifestIntegration:
         assert all(e["busy_seconds"] >= 0 for e in workers)
         assert len([e for e in events if e["type"] == "task"]) == 4
 
-    def test_vectorized_sweep_emits_chunk_spans(self, tmp_path):
-        from repro.bench.workloads import digg_threshold_point  # noqa: F401
-        path = tmp_path / "sweep_vec.jsonl"
-        axes = severity_axes(2, 2)
-        with observing(path):
-            sweep_grid(axes, smoke_threshold_point, executor="vectorized")
-        events = validate_manifest(path)
-        spans = [e for e in events if e["type"] == "span"]
-        assert any(e["name"] == "sweep.batched_chunk" for e in spans)
-
     def test_fbsm_manifest_has_iteration_trace(self, tmp_path):
         path = tmp_path / "fbsm.jsonl"
         base = RumorModelParameters(power_law_distribution(1, 5, 2.0),
@@ -302,67 +289,6 @@ class TestManifestIntegration:
         assert main(["--trace-out", str(path), "threshold"]) == 0
         events = validate_manifest(path)
         assert events[0]["run"]["command"] == "threshold"
-
-
-# -- fallback warnings -----------------------------------------------------
-
-class TestFallbackWarnings:
-    def test_ensemble_vectorized_fallback_warns_once(self, capsys):
-        from repro.epidemic.acceptance import SaturatingAcceptance
-        from repro.epidemic.infectivity import SaturatingInfectivity
-
-        rng = np.random.default_rng(7)
-        graph = erdos_renyi(60, 0.1, rng=rng)
-        seeds = np.array([0, 1])
-        config = AgentBasedConfig(
-            acceptance=SaturatingAcceptance(lambda_max=0.8, k_half=5.0),
-            infectivity=SaturatingInfectivity(0.5, 0.5),
-            eps1=0.01, eps2=0.05, dt=0.5, t_final=5.0)
-        with observing() as observer:
-            runs = run_ensemble(graph, seeds, config, n_runs=2,
-                                executor="vectorized")
-            again = run_ensemble(graph, seeds, config, n_runs=2,
-                                 executor="vectorized")
-        assert len(runs) == len(again) == 2
-        logs = observer.sink.of_type("log")
-        fallback = [e for e in logs
-                    if e["event"] == "ensemble.vectorized_fallback"]
-        assert len(fallback) == 1, "fallback must be warned exactly once"
-        event = fallback[0]
-        assert event["level"] == "warning"
-        assert event["fields"]["backend"] == "vectorized"
-        assert event["fields"]["fallback"] == "serial"
-        assert "rng" in event["fields"]["reason"]
-        err = capsys.readouterr().err
-        assert err.count("ensemble.vectorized_fallback") == 1
-
-    def test_seeded_sweep_vectorized_fallback_warns(self, capsys):
-        axes = severity_axes(2, 2)
-
-        def seeded_point(eps1, eps2, rng=None):
-            return {"noise": float(rng.random())}
-
-        seeded_point.batch = lambda points: [  # pragma: no cover - never hit
-            {"noise": 0.0} for _ in points]
-        with observing() as observer:
-            sweep_grid(axes, seeded_point, executor="vectorized", seed=3)
-        logs = [e for e in observer.sink.of_type("log")
-                if e["event"] == "sweep.vectorized_fallback"]
-        assert len(logs) == 1
-        assert "seeded" in logs[0]["fields"]["reason"]
-
-    def test_unbatchable_sweep_vectorized_fallback_warns(self):
-        axes = severity_axes(2, 2)
-
-        def plain_point(eps1, eps2):
-            return {"value": eps1 + eps2}
-
-        with observing() as observer:
-            sweep_grid(axes, plain_point, executor="vectorized")
-        logs = [e for e in observer.sink.of_type("log")
-                if e["event"] == "sweep.vectorized_fallback"]
-        assert len(logs) == 1
-        assert "batch" in logs[0]["fields"]["reason"]
 
 
 # -- progress output -------------------------------------------------------

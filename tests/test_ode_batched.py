@@ -56,11 +56,6 @@ def decay_rhs_batched(t, y, rows, out=None):
     return out
 
 
-def decay_rhs_no_out(t, y, rows):
-    """Same system without ``out=`` support (adapter fallback path)."""
-    return y * -RATES[rows][:, None]
-
-
 def scalar_decay(rate):
     return lambda t, y: -rate * y
 
@@ -114,11 +109,6 @@ class TestDopri45Batched:
         # The stiffest row works harder than the slackest.
         assert batched.nfev_rows[np.argmax(RATES)] >= \
             batched.nfev_rows[np.argmin(RATES)]
-
-    def test_rhs_without_out_support(self):
-        with_out = dopri45_batched(decay_rhs_batched, self.Y0, self.GRID)
-        without = dopri45_batched(decay_rhs_no_out, self.Y0, self.GRID)
-        assert np.array_equal(with_out.y, without.y)
 
     def test_h_init_validation(self):
         with pytest.raises(ParameterError):
@@ -217,23 +207,6 @@ class TestBatchedModel:
                                      method="dopri45")
         assert np.allclose(solution.y, reference,
                            rtol=ADAPTIVE_RTOL, atol=ADAPTIVE_ATOL)
-
-    def test_reduced_state_conserves_and_approximates(self, params, initial):
-        batch = BatchedHeterogeneousSIR(params, eps1=self.EPS1,
-                                        eps2=self.EPS2)
-        full = batch.simulate(initial, t_final=10.0, n_samples=21)
-        reduced = batch.simulate(initial, t_final=10.0, n_samples=21,
-                                 reduce_state=True)
-        n = params.n_groups
-        # Conservation: S + I + R = total0 + α·t per group, exactly as
-        # reconstructed.
-        totals = (reduced.y[:, :, :n] + reduced.y[:, :, n:2 * n]
-                  + reduced.y[:, :, 2 * n:])
-        expected = totals[0][None] + params.alpha * reduced.t[:, None, None]
-        assert np.allclose(totals, expected, rtol=1e-12, atol=1e-12)
-        # The decorrelated step sequence still tracks the full path to
-        # the method's true error, far looser than the locked contract.
-        assert np.allclose(reduced.y, full.y, rtol=1e-4, atol=1e-7)
 
     def test_population_accessors(self, params, initial):
         batch = BatchedHeterogeneousSIR(params, eps1=self.EPS1,

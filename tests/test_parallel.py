@@ -131,7 +131,7 @@ class TestResolveExecutor:
         assert isinstance(resolve_executor(1), SerialExecutor)
 
     def test_names(self):
-        assert set(BACKENDS) == {"serial", "thread", "process", "vectorized"}
+        assert set(BACKENDS) == {"serial", "thread", "process"}
         assert isinstance(resolve_executor("serial"), SerialExecutor)
         assert isinstance(resolve_executor("THREAD", 2), ThreadExecutor)
         assert isinstance(resolve_executor("process", 2), ProcessExecutor)
@@ -350,7 +350,22 @@ class TestRunAllParallel:
         def boom(out_dir):
             raise RuntimeError("figure exploded")
 
+        ran = []
+
+        def stub(key):
+            def run(out_dir):
+                ran.append(key)
+                return runner.ExperimentReport(key, key, (), None)
+            return run
+
+        # The serial backend runs every task before reporting the first
+        # failure; stub the other figures so the test does not pay for
+        # the full fig3/fig4 pipelines.
+        for key in list(runner.EXPERIMENTS):
+            monkeypatch.setitem(runner.EXPERIMENTS, key, stub(key))
         monkeypatch.setitem(runner.EXPERIMENTS, "fig2", boom)
         with pytest.raises(SweepError) as excinfo:
             runner.run_all(tmp_path)
         assert excinfo.value.point == {"experiment": "fig2"}
+        assert excinfo.value.error_type == "RuntimeError"
+        assert ran == [key for key in runner.EXPERIMENTS if key != "fig2"]

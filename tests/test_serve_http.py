@@ -201,6 +201,26 @@ class TestEndpoints:
                 status, _body = request(port, method, "/nope")
                 assert status == 404
 
+    def test_keepalive_round_trips_do_not_stall(self):
+        """Keep-alive requests on one connection answer without waiting
+        for the client's delayed ACK (Nagle disabled on the handler)."""
+        with live_server() as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                seconds = []
+                for _ in range(20):
+                    start = time.perf_counter()
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    response.read()
+                    seconds.append(time.perf_counter() - start)
+                    assert response.status == 200
+            finally:
+                conn.close()
+        seconds.sort()
+        median = (seconds[9] + seconds[10]) / 2
+        assert median < 0.020, f"median keep-alive round trip {median:.4f}s"
+
     def test_shared_service_outlives_server(self):
         """A caller-owned service is not closed by run_server, so its
         cache warms across server restarts."""

@@ -7,6 +7,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.analysis.sweep import scenario_sweep, sweep_grid
+from repro.bench.workloads import severity_axes, smoke_threshold_point
 from repro.core.batched import stackable
 from repro.core.model import HeterogeneousSIRModel
 from repro.core.state import SIRState
@@ -17,6 +19,7 @@ from repro.serve.batcher import MicroBatcher, PendingResult
 from repro.serve.cache import ResultCache
 from repro.serve.service import ScenarioService
 from repro.serve.spec import (
+    CalibrationSpec,
     ScenarioSpec,
     execute_scenario,
     execute_scenario_batch,
@@ -380,3 +383,37 @@ class TestScenarioService:
             served = service.query(spec, timeout=60.0).result
         direct = execute_scenario(spec)
         assert served == direct
+
+
+class TestScenarioSweep:
+    """``scenario_sweep``: the stacked path for (ε1, ε2) grids."""
+
+    #: The scenario twin of ``smoke_threshold_point``.
+    SMOKE = ScenarioSpec(
+        network={"kind": "power_law", "k_min": 1, "k_max": 30,
+                 "exponent": 2.0},
+        t_final=20.0, n_samples=21,
+        calibration=CalibrationSpec(0.2, 0.05, 0.9))
+
+    def test_matches_serial_sweep_and_stacks_every_row(self):
+        axes = severity_axes(3, 3)
+        serial = sweep_grid(axes, smoke_threshold_point)
+        sink = MemorySink()
+        with observing(None, sink=sink):
+            with ScenarioService(window_seconds=0.2, max_batch=9) as service:
+                stacked = scenario_sweep(self.SMOKE, axes, service=service)
+        assert stacked.parameter_names == ("eps1", "eps2")
+        assert len(stacked) == len(serial) == 9
+        assert stacked.column("eps1") == serial.column("eps1")
+        assert stacked.column("eps2") == serial.column("eps2")
+        for name in ("r0", "peak_infected", "final_infected"):
+            np.testing.assert_allclose(
+                np.asarray(stacked.column(name), dtype=float),
+                np.asarray(serial.column(name), dtype=float),
+                rtol=1e-8, atol=0.0)
+        assert all(row["stacked"] for row in stacked.rows)
+        assert all(row["cache"] == "miss" for row in stacked.rows)
+        batch_spans = [e for e in sink.of_type("span")
+                       if e["name"] == "serve.batch"]
+        assert batch_spans
+        assert all(e["attrs"]["stacked"] for e in batch_spans)
