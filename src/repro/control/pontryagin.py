@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.control.admissible import ControlBounds
-from repro.control.costate import CostateMode, costate_rhs
+from repro.control.costate import AdjointKernel, CostateMode, adjoint_kernel
 from repro.control.objective import CostBreakdown, CostParameters, evaluate_cost
 from repro.core.parameters import RumorModelParameters
 from repro.core.state import RumorTrajectory, SIRState
@@ -126,16 +126,20 @@ class OptimalControlResult:
         return float(self.trajectory.population_infected()[-1])
 
 
-class _UniformInterp:
-    """Fast linear interpolation of multi-channel samples on a uniform grid."""
+class _GridLocator:
+    """Locate ``t`` on a uniform grid: interval ``j`` and weight ``w``.
 
-    def __init__(self, grid: np.ndarray, values: np.ndarray) -> None:
+    A channel ``v`` sampled on the grid interpolates linearly as
+    ``v[j] + w * (v[j + 1] − v[j])``; one locator serves every channel
+    sampled on the same grid.
+    """
+
+    def __init__(self, grid: np.ndarray) -> None:
         self._t0 = float(grid[0])
         self._h = float(grid[1] - grid[0])
         self._last = grid.size - 2
-        self._values = values
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t: float) -> tuple[int, float]:
         x = (t - self._t0) / self._h
         j = int(x)
         if j < 0:
@@ -147,28 +151,46 @@ class _UniformInterp:
             w = 0.0
         elif w > 1.0:
             w = 1.0
-        v = self._values
-        return v[j] + w * (v[j + 1] - v[j])
+        return j, w
+
+
+def _lerp(knots: list[float], j: int, w: float) -> float:
+    """``knots[j] + w * (knots[j + 1] − knots[j])`` on Python floats."""
+    a = knots[j]
+    return a + w * (knots[j + 1] - a)
 
 
 def _forward_pass(params: RumorModelParameters, initial: SIRState,
                   grid: np.ndarray, eps1: np.ndarray, eps2: np.ndarray,
                   rtol: float, atol: float) -> np.ndarray:
     n = params.n_groups
-    alpha, lam, phi, mean_k = (params.alpha, params.lambda_k, params.phi_k,
-                               params.mean_degree)
-    controls = _UniformInterp(grid, np.column_stack([eps1, eps2]))
+    alpha, lam, phi = params.alpha, params.lambda_k, params.phi_k
+    mean_k = float(params.mean_degree)
+    locate = _GridLocator(grid)
+    eps1_knots = eps1.tolist()
+    eps2_knots = eps2.tolist()
+    infection = np.empty(n)
+    removal_s = np.empty(n)
+    removal_i = np.empty(n)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        e1, e2 = controls(t)
+        j, w = locate(t)
+        e1 = _lerp(eps1_knots, j, w)
+        e2 = _lerp(eps2_knots, j, w)
         s = y[:n]
         i = y[n:2 * n]
         theta = float(np.dot(phi, i)) / mean_k
-        infection = lam * s * theta
+        np.multiply(lam, s, out=infection)
+        np.multiply(infection, theta, out=infection)
+        np.multiply(s, e1, out=removal_s)
+        np.multiply(i, e2, out=removal_i)
+        # System (1): S' = α − λSΘ − ε1 S, I' = λSΘ − ε2 I, R' = ε1 S + ε2 I.
         out = np.empty_like(y)
-        out[:n] = alpha - infection - e1 * s
-        out[n:2 * n] = infection - e2 * i
-        out[2 * n:] = e1 * s + e2 * i
+        out_s = out[:n]
+        np.subtract(alpha, infection, out=out_s)
+        out_s -= removal_s
+        np.subtract(infection, removal_i, out=out[n:2 * n])
+        np.add(removal_s, removal_i, out=out[2 * n:])
         return out
 
     return dopri45(rhs, initial.pack(), grid, rtol=rtol, atol=atol).y
@@ -176,26 +198,37 @@ def _forward_pass(params: RumorModelParameters, initial: SIRState,
 
 def _backward_pass(params: RumorModelParameters, grid: np.ndarray,
                    states: np.ndarray, eps1: np.ndarray, eps2: np.ndarray,
-                   costs: CostParameters, mode: CostateMode,
+                   kernel: AdjointKernel, terminal_weight: float,
                    rtol: float, atol: float) -> np.ndarray:
     n = params.n_groups
     tf = float(grid[-1])
-    state_interp = _UniformInterp(grid, states[:, : 2 * n])
-    control_interp = _UniformInterp(grid, np.column_stack([eps1, eps2]))
+    locate = _GridLocator(grid)
+    knots = states[:, : 2 * n]
+    slopes = np.diff(knots, axis=0)
+    eps1_knots = eps1.tolist()
+    eps2_knots = eps2.tolist()
+    # Dormand–Prince's last two stages share one time: interpolate the
+    # state and controls once per distinct t.
+    last_t = s = i = None
+    e1 = e2 = 0.0
 
     # Reversed time τ = tf − t:  dY/dτ = −adjoint_rhs(tf − τ, Y).
     def rhs(tau: float, y: np.ndarray) -> np.ndarray:
+        nonlocal last_t, s, i, e1, e2
         t = tf - tau
-        si = state_interp(t)
-        e1, e2 = control_interp(t)
-        dpsi, dq = costate_rhs(params, si[:n], si[n:], y[:n], y[n:],
-                               float(e1), float(e2), costs.c1, costs.c2,
-                               mode=mode)
-        return np.concatenate([-dpsi, -dq])
+        if t != last_t:
+            last_t = t
+            j, w = locate(t)
+            si = slopes[j] * w
+            si += knots[j]
+            s, i = si[:n], si[n:]
+            e1 = _lerp(eps1_knots, j, w)
+            e2 = _lerp(eps2_knots, j, w)
+        return kernel(s, i, y[:n], y[n:], e1, e2)
 
     terminal = np.concatenate([
         np.zeros(n),                           # ψ_i(tf) = 0
-        np.full(n, costs.terminal_weight),     # q_i(tf) = w
+        np.full(n, terminal_weight),           # q_i(tf) = w
     ])
     tau_grid = tf - grid[::-1]
     solution = dopri45(rhs, terminal, tau_grid, rtol=rtol, atol=atol)
@@ -280,6 +313,8 @@ def solve_optimal_control(params: RumorModelParameters, initial: SIRState, *,
         raise ParameterError("n_grid must be >= 3")
     if not 0 < relaxation <= 1:
         raise ParameterError("relaxation must be in (0, 1]")
+    # Validates ``mode`` before any integration runs.
+    kernel = adjoint_kernel(params, costs.c1, costs.c2, mode=mode)
 
     n = params.n_groups
     grid = np.linspace(0.0, float(t_final), int(n_grid))
@@ -310,8 +345,8 @@ def solve_optimal_control(params: RumorModelParameters, initial: SIRState, *,
     history: list[FBSMIteration] = []
     for iteration in range(1, max_iterations + 1):
         pass_start = time.perf_counter()
-        costates = _backward_pass(params, grid, states, eps1, eps2, costs,
-                                  mode, rtol, atol)
+        costates = _backward_pass(params, grid, states, eps1, eps2, kernel,
+                                  costs.terminal_weight, rtol, atol)
         backward_seconds = time.perf_counter() - pass_start
         new_eps1, new_eps2 = _stationary_controls(states, costates, n,
                                                   costs, bounds)

@@ -6,10 +6,11 @@ stiff when the acceptance rate ``λ(k) = k`` reaches degree ~1000.  The
 library therefore ships:
 
 * :func:`euler` — explicit Euler, used only in tests/teaching,
-* :func:`rk4` — classic fixed-step 4th-order Runge–Kutta, the workhorse of
-  the forward–backward sweep (both passes must share one time grid),
+* :func:`rk4` — classic fixed-step 4th-order Runge–Kutta on the output
+  grid (fixed-step cross-checks and the stacked ``rk4_batched`` twin),
 * :func:`dopri45` — adaptive Dormand–Prince 5(4) with PI step-size control
-  and dense output via 4th-order Hermite interpolation (library default),
+  and dense output via cubic Hermite interpolation (library default, and
+  both passes of the forward–backward sweep),
 * :func:`solve_ivp_scipy` — thin wrapper over ``scipy.integrate.odeint``
   (LSODA) kept as an independent cross-check backend.
 
@@ -246,9 +247,8 @@ def rk4(f: RhsFunction, y0: Sequence[float] | np.ndarray,
         substeps: int = 1) -> OdeSolution:
     """Classic 4th-order Runge–Kutta over the grid ``t_eval``.
 
-    The forward–backward sweep method uses this integrator for both the
-    state (forward) and costate (backward, via time reversal) passes so
-    that both live on the same grid.
+    ``substeps`` equal steps are taken between consecutive output times,
+    so every output is a step endpoint (no interpolation).
     """
     if substeps < 1:
         raise ParameterError("substeps must be >= 1")
@@ -303,6 +303,7 @@ _DP_A = [
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_C_FLOAT = _DP_C.tolist()
 
 
 def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
@@ -324,7 +325,10 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
     grid = _validate_grid(t_eval)
     y = _validate_y0(y0)
     start = time.perf_counter()
-    t0, tf = grid[0], grid[-1]
+    # The step loop runs on Python floats: every scalar below takes the
+    # same IEEE operations as on NumPy scalars, without their overhead.
+    times = grid.tolist()
+    t0, tf = times[0], times[-1]
     span = tf - t0
     if h_max is None:
         h_max = span
@@ -337,12 +341,24 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
         h = min(h_init, h_max)
         nfev = 0
 
-    out = np.empty((grid.size, y.size))
+    dim = y.size
+    out = np.empty((len(times), dim))
     out[0] = y
     next_output = 1  # index into grid of the next output point to fill
 
+    # One stage workspace per call.  k[0] holds f(t, y) across steps
+    # (FSAL): stages only write k[1:], so a rejected step keeps it, and
+    # an accepted one copies its last stage in after the dense output.
+    k = np.empty((7, dim))
+    stages = [(_DP_C_FLOAT[s], _DP_A[s], k[:s], k[s]) for s in range(1, 7)]
+    y4 = np.empty(dim)
+    abs_y = np.abs(y)  # |y| of the current state, swapped in on accept
+    abs_y5 = np.empty(dim)
+    scale = np.empty(dim)
+    work = np.empty(dim)
+
     t = t0
-    f_now = f(t, y)
+    k[0] = f(t, y)
     nfev += 1
     warmup_nfev = nfev
     accepted = rejected = 0
@@ -360,36 +376,49 @@ def dopri45(f: RhsFunction, y0: Sequence[float] | np.ndarray,
             raise IntegrationError(
                 f"dopri45 step size underflow at t={t:.6g} (h={h:.3g})"
             )
-        # Stage evaluations (FSAL: k[0] reuses f_now).
-        k = np.empty((7, y.size))
-        k[0] = f_now
-        for stage in range(1, 7):
-            y_stage = y + h * (_DP_A[stage] @ k[:stage])
-            k[stage] = f(t + _DP_C[stage] * h, y_stage)
+        # Stage state y + h·(A[s] @ k[:s]), formed in place.
+        for c, a, k_prev, k_stage in stages:
+            y_stage = a @ k_prev
+            y_stage *= h
+            y_stage += y
+            k_stage[...] = f(t + c * h, y_stage)
         nfev += 6
-        y5 = y + h * (_DP_B5 @ k)
-        y4 = y + h * (_DP_B4 @ k)
-        if not np.all(np.isfinite(y5)):
+        y5 = _DP_B5 @ k
+        y5 *= h
+        y5 += y
+        if not np.isfinite(y5).all():
             # Shrink aggressively and retry rather than aborting outright.
             rejected += 1
             h *= 0.25
             if h < 1e-14 * max(abs(t), 1.0):
                 raise IntegrationError(f"dopri45 produced non-finite state at t={t:.6g}")
             continue
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
+        np.matmul(_DP_B4, k, out=y4)
+        y4 *= h
+        y4 += y
+        # err = RMS((y5 − y4) / (atol + rtol·max(|y|, |y5|))).
+        np.abs(y5, out=abs_y5)
+        np.maximum(abs_y, abs_y5, out=scale)
+        scale *= rtol
+        scale += atol
+        np.subtract(y5, y4, out=work)
+        work /= scale
+        np.square(work, out=work)
+        err = math.sqrt(float(work.sum()) / dim)
         if err <= 1.0:
             # Accept: emit dense output for all grid points inside (t, t+h].
             accepted += 1
             step_sizes.append(h)
             t_new = t + h
-            f_new = k[6]  # FSAL: last stage is f(t_new, y5)
-            while next_output < grid.size and grid[next_output] <= t_new + 1e-14:
+            f_now, f_new = k[0], k[6]  # FSAL: last stage is f(t_new, y5)
+            while next_output < len(times) and times[next_output] <= t_new + 1e-14:
                 out[next_output] = _hermite(
-                    t, t_new, y, y5, f_now, f_new, grid[next_output]
+                    t, t_new, y, y5, f_now, f_new, times[next_output]
                 )
                 next_output += 1
-            t, y, f_now = t_new, y5, f_new
+            k[0] = f_new
+            t, y = t_new, y5
+            abs_y, abs_y5 = abs_y5, abs_y
             # PI controller.
             err = max(err, 1e-10)
             factor = safety * err ** (-0.7 / order) * err_prev ** (beta)

@@ -137,6 +137,23 @@ class TestValidation:
             solve_optimal_control(params, initial, t_final=10.0,
                                   bounds=bounds, costs=costs, relaxation=0.0)
 
+    def test_bad_mode_raises_before_integrating(self, setup, monkeypatch):
+        import repro.control.pontryagin as pontryagin
+
+        real_dopri45 = pontryagin.dopri45
+        calls = []
+
+        def counting_dopri45(*args, **kwargs):
+            calls.append(1)
+            return real_dopri45(*args, **kwargs)
+
+        monkeypatch.setattr(pontryagin, "dopri45", counting_dopri45)
+        params, initial, bounds, costs = setup
+        with pytest.raises(ParameterError, match="costate mode"):
+            solve_optimal_control(params, initial, t_final=10.0,
+                                  bounds=bounds, costs=costs, mode="bogus")
+        assert calls == []
+
 
 class TestTerminalTarget:
     def test_meets_target(self, setup):
